@@ -15,7 +15,7 @@ loss, and the bottleneck capacity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import RoutingError, TopologyError
 from repro.net.asn import ASGraph
@@ -51,6 +51,23 @@ class ResolvedPath:
         return " -> ".join(self.nodes)
 
 
+class _PreloadedHops:
+    """A preloaded hop list, finalized on first use (see :meth:`Router.preload`)."""
+
+    __slots__ = ("names", "flat", "start", "end")
+
+    def __init__(self, names: Sequence[str], flat: Sequence[int],
+                 start: int, end: int):
+        self.names = names
+        self.flat = flat
+        self.start = start
+        self.end = end
+
+    def hops(self) -> List[str]:
+        names = self.names
+        return [names[j] for j in self.flat[self.start:self.end]]
+
+
 class Router:
     """Resolves forwarding paths over a topology + AS graph + PBR table."""
 
@@ -72,7 +89,9 @@ class Router:
         )
         #: store-and-forward / switching latency added per hop to RTT
         self.per_hop_latency_s = per_hop_latency_s
-        self._path_cache: Dict[Tuple[str, str], ResolvedPath] = {}
+        #: resolved paths, plus preloaded hop lists not yet finalized
+        self._path_cache: Dict[Tuple[str, str],
+                               Union[ResolvedPath, _PreloadedHops]] = {}
         self._igp_cost_cache: Dict[Tuple[str, str], float] = {}
 
     # -- public API ---------------------------------------------------------
@@ -81,35 +100,45 @@ class Router:
         """Forwarding path from host *src* to host *dst* (cached)."""
         key = (src, dst)
         cached = self._path_cache.get(key)
-        if cached is not None:
+        if cached is None:
+            path = self._resolve_uncached(src, dst)
+        elif type(cached) is _PreloadedHops:
+            path = self._finalize(cached.hops())
+        else:
             return cached
-        path = self._resolve_uncached(src, dst)
         self._path_cache[key] = path
         return path
 
     def invalidate(self) -> None:
-        """Drop caches after topology or policy changes."""
+        """Drop caches (preloaded paths too) after topology or policy changes."""
         self._path_cache.clear()
         self._igp_cost_cache.clear()
         self.bgp.invalidate()
 
-    def preload(self, node_paths: Iterable[Sequence[str]]) -> int:
-        """Seed the path cache from precompiled node sequences.
+    def preload(self, names: Sequence[str], indptr: Sequence[int],
+                flat: Sequence[int]) -> int:
+        """Seed the path cache from precompiled hop lists (CSR form).
 
-        Each sequence is the full hop list of one forwarding path (as
-        :class:`ResolvedPath.nodes` would report it).  The derived
-        attributes — RTT, loss, bottleneck, AS sequence, firewall caps —
-        are recomputed from the live topology, so a preloaded path is
-        bit-identical to what :meth:`resolve` would return for the same
-        hops.  Used by ``repro.topo`` to warm large compiled worlds so
-        the first transfer doesn't pay BGP resolution.  Returns the
-        number of paths installed.
+        Path *i* is ``[names[j] for j in flat[indptr[i]:indptr[i + 1]]]``,
+        the full hop list of one forwarding path (as
+        :class:`ResolvedPath.nodes` would report it).  Only the hop list
+        is recorded here; the derived attributes — RTT, loss,
+        bottleneck, AS sequence, firewall caps — are computed from the
+        live topology on the first :meth:`resolve` of the pair, so a
+        preloaded path is bit-identical to what :meth:`resolve` would
+        return for the same hops, and a world pays only for the paths
+        it uses.  A malformed hop list raises there, not here.  A
+        preload replaces any cached path for the same pair;
+        :meth:`invalidate` drops pending paths like finalized ones.
+        Used by ``repro.topo`` to warm compiled worlds so the first
+        transfer doesn't pay BGP resolution.  Returns the number of
+        paths recorded.
         """
-        n = 0
-        for nodes in node_paths:
-            path = self._finalize(list(nodes))
-            self._path_cache[(path.src, path.dst)] = path
-            n += 1
+        n = len(indptr) - 1
+        for i in range(n):
+            start, end = indptr[i], indptr[i + 1]
+            key = (names[flat[start]], names[flat[end - 1]])
+            self._path_cache[key] = _PreloadedHops(names, flat, start, end)
         return n
 
     def path_directions(self, path: ResolvedPath) -> List[LinkDirection]:

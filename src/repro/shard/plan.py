@@ -45,6 +45,7 @@ from repro.measure.harness import (ExperimentProtocol, Measurement,
 from repro.measure.stats import summarize
 from repro.obs.metrics import MetricSample, MetricsRegistry
 from repro.sim.rng import derive_seed
+from repro.topo.compiled import CompiledTopology
 from repro.topo.spec import TopoSpec
 
 from repro.shard.service import DirectoryFileTier, SiteReport
@@ -273,12 +274,24 @@ class ShardCell:
             seed=self.seed, cross_traffic=self.cross_traffic,
             config=self.config, topo=self.topo, warm_hash=self.warm_hash)
 
-    def _build_world(self, site: str, metrics: MetricsRegistry):
-        if self.topo is not None:
-            from repro.topo.materialize import compile_spec, materialize
+    def _compile(self) -> Optional[CompiledTopology]:
+        """The cell's compiled generated world (``None`` for the case study).
 
-            compiled = compile_spec(self.topo, cache_dir=self.cache_dir,
-                                    routes=True)
+        Compiled once per cell and shared by every site unit: the
+        arrays are read-only after compilation, and a ``cache_dir``
+        route cache is still loaded and validated on this one call.
+        """
+        if self.topo is None:
+            return None
+        from repro.topo.materialize import compile_spec
+
+        return compile_spec(self.topo, cache_dir=self.cache_dir, routes=True)
+
+    def _build_world(self, site: str, compiled: Optional[CompiledTopology],
+                     metrics: MetricsRegistry):
+        if compiled is not None:
+            from repro.topo.materialize import materialize
+
             return materialize(compiled, seed=self.site_world_seed(site),
                                metrics=metrics)
         from repro.testbed.build import build_case_study
@@ -287,8 +300,8 @@ class ShardCell:
                                 cross_traffic=self.cross_traffic,
                                 metrics=metrics, cache_dir=self.cache_dir)
 
-    def _run_site(self, site: str):
-        """One single-site fleet unit: ``(result, report)``."""
+    def _run_site(self, site: str, compiled: Optional[CompiledTopology]):
+        """One single-site fleet unit on *compiled* (see :meth:`_compile`)."""
         from repro.broker.service import DetourBroker
         from repro.broker.fleet import FleetRunner
         from repro.workloads.generator import fleet_population_schedule
@@ -300,7 +313,7 @@ class ShardCell:
                 f"snapshot {self.warm_hash} but carries no snapshot object; "
                 f"re-expand the plan with ShardPlan.expand(warm=...)")
         site_metrics = MetricsRegistry()
-        world = self._build_world(site, site_metrics)
+        world = self._build_world(site, compiled, site_metrics)
         if site not in world.hosts:
             raise ShardError(
                 f"shard site {site!r} not in the world's host map "
@@ -348,9 +361,10 @@ class ShardCell:
         """
         tier = (DirectoryFileTier(self.publish_root)
                 if self.publish_root is not None else None)
+        compiled = self._compile()
         durations: List[float] = []
         for site in self.sites:
-            result, report, site_metrics = self._run_site(site)
+            result, report, site_metrics = self._run_site(site, compiled)
             durations.extend(result.durations_s)
             if metrics is not None:
                 metrics.merge_samples(

@@ -203,7 +203,7 @@ class CompiledTopology:
         self.meta["routes"] = len(node_paths)
 
     def route_name_paths(self) -> List[List[str]]:
-        """Precompiled paths as node-name lists (for Router.preload)."""
+        """Precompiled paths as node-name lists (what Router.preload records)."""
         names = self.arrays["node_name"]
         indptr = self.arrays["route_indptr"]
         flat = self.arrays["route_node"]

@@ -16,9 +16,9 @@ Two halves:
 * :func:`materialize` — compiled → :class:`~repro.core.world.World`:
   rebuild the live objects in array order (order is semantic: IGP
   tie-breaks follow adjacency insertion), seed the router's path cache
-  from the precompiled routes, wire providers/hosts/DTNs, and apply the
-  per-seed capacity jitter streams (``capjitter.<link>``) exactly as the
-  hand-built testbed does.
+  with the precompiled hop lists (each finalized on first use), wire
+  providers/hosts/DTNs, and apply the per-seed capacity jitter streams
+  (``capjitter.<link>``) exactly as the hand-built testbed does.
 
 The calibrated case study flows through the same two functions (see
 :mod:`repro.testbed.build`), so one construction path serves both the
@@ -260,7 +260,9 @@ def materialize(compiled: CompiledTopology,
 
         topo, as_graph, policy = build_skeleton(graph)
         router = Router(topo, as_graph, policy)
-        router.preload(compiled.route_name_paths())
+        router.preload([n.name for n in graph.nodes],
+                       compiled.arrays["route_indptr"].tolist(),
+                       compiled.arrays["route_node"].tolist())
         dns = DnsResolver(topo)
 
         capacity_scale: Dict[str, float] = {}

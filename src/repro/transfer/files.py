@@ -3,9 +3,12 @@
 The paper benchmarks with binary files of 10, 20, 30, 40, 50, 60 and
 100 MB filled with random data, "resistant to any compression-based
 performance artifacts".  A :class:`FileSpec` describes such a file by
-(size, entropy class, seed); small specs can be *materialized* to real
-bytes (used by the rsync protocol tests), large ones stay descriptive —
-transfer cost depends only on size and compressibility.
+(size, entropy class, seed).  Specs stay descriptive on the simulation
+path: transfer cost depends only on size and compressibility, and
+:meth:`FileSpec.content_digest` hashes the spec, not its bytes.  Small
+specs can still be *materialized* to real bytes for the rsync delta
+path (:meth:`repro.transfer.rsync.RsyncSession.plan` with a basis) and
+its tests.
 """
 
 from __future__ import annotations
@@ -25,7 +28,8 @@ __all__ = ["Entropy", "FileSpec", "generate_bytes", "make_test_files", "PAPER_SI
 #: The file-size sweep used throughout the paper's evaluation (MB).
 PAPER_SIZES_MB: Sequence[int] = (10, 20, 30, 40, 50, 60, 100)
 
-#: Materialization guard: specs above this size stay descriptive.
+#: Size cap for :meth:`FileSpec.materialize` (the rsync delta path);
+#: digests never materialize, whatever the size.
 MAX_MATERIALIZE_BYTES = 64 * units.MiB
 
 
@@ -73,9 +77,12 @@ class FileSpec:
         return generate_bytes(self.size_bytes, self.entropy, self.seed)
 
     def content_digest(self) -> str:
-        """Stable digest identifying the (virtual) contents."""
-        if self.size_bytes <= MAX_MATERIALIZE_BYTES:
-            return hashlib.sha256(self.materialize()).hexdigest()
+        """Stable digest identifying the (virtual) contents.
+
+        The contents are a pure function of (size, entropy, seed), so
+        the digest hashes exactly that — never the bytes — and two specs
+        that differ only in name share it.
+        """
         meta = f"{self.size_bytes}:{self.entropy.value}:{self.seed}".encode()
         return hashlib.sha256(meta).hexdigest()
 

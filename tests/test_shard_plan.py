@@ -1,5 +1,7 @@
 """Shard planning: stable partition, cell identity, streaming aggregation."""
 
+import importlib
+
 import pytest
 
 from repro.broker.fleet import FleetResult, FleetUploadRecord, score_fleet
@@ -277,3 +279,42 @@ class TestStreamingScoreFleet:
             score_fleet({"a": iter([_record(0, "s1", 4.0)]),
                          "b": iter([_record(0, "s1", 2.0),
                                     _record(1, "s1", 3.0)])})
+
+
+class TestCompileOncePerCell:
+    """A generated-world cell compiles its spec once, not once per site."""
+
+    def _cell(self, sites, cache_dir):
+        from repro.topo import preset_spec
+
+        return ShardCell(sites=sites, provider="gdrive", mode="direct",
+                         n_uploads_per_site=2, mean_interarrival_s=60.0,
+                         mean_size_mb=1.0, cross_traffic=False,
+                         topo=preset_spec("smoke", seed=0),
+                         cache_dir=str(cache_dir))
+
+    def test_one_compile_for_a_multi_site_cell(self, tmp_path, monkeypatch):
+        # repro.topo re-exports the materialize *function* under the
+        # submodule's name, so fetch the module itself
+        topo_materialize = importlib.import_module("repro.topo.materialize")
+        calls = []
+        real = topo_materialize.compile_spec
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("cache_dir"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(topo_materialize, "compile_spec", counting)
+        cell = self._cell(("w9aca80-c0000", "w9aca80-c0001",
+                           "w9aca80-c0002"), tmp_path)
+        m = cell.run_measurement()
+        assert calls == [str(tmp_path)]
+        assert len(m.all_durations_s) == 6
+
+    def test_shared_compile_matches_per_site_cells(self, tmp_path):
+        sites = ("w9aca80-c0000", "w9aca80-c0001")
+        joint = self._cell(sites, tmp_path).run_measurement()
+        alone = [d for s in sites
+                 for d in self._cell((s,), tmp_path).run_measurement()
+                 .all_durations_s]
+        assert list(joint.all_durations_s) == alone

@@ -19,8 +19,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.errors import TopoError, TopologyError
+from repro.errors import RoutingError, TopoError, TopologyError
 from repro.net import Node, NodeKind, Topology
+from repro.net.routing import ResolvedPath, Router
 from repro.testbed import build_geo_registry, case_study_topo_spec
 from repro.topo import (
     CompiledTopology,
@@ -239,3 +240,80 @@ class TestSiteValidation:
         with pytest.raises(TopologyError, match="did you mean 'ubc'"):
             topo.add_node(Node("n1", NodeKind.HOST, 1, "10.0.0.1",
                                site_name="ubcc"))
+
+
+def _outcome(router, src, dst):
+    """A pair's resolution, or the error it raises (for differential checks)."""
+    try:
+        return router.resolve(src, dst)
+    except RoutingError as exc:
+        return f"RoutingError: {exc}"
+
+
+class TestLazyPreload:
+    """``Router.preload`` defers finalizing to first use.
+
+    Oracle: the eager ``Router._finalize`` of each compiled hop list,
+    computed when the world is materialized — what preload used to
+    install — and, after link events, a fresh router with no preload.
+    """
+
+    WORLDS = {"case-study": case_study_topo_spec(),
+              "metro-7": preset_spec("metro", seed=7)}
+
+    @pytest.fixture(params=sorted(WORLDS), scope="class")
+    def compiled(self, request):
+        return compile_spec(self.WORLDS[request.param], routes=True)
+
+    def test_lazy_paths_equal_eager_finalize(self, compiled):
+        world = materialize(compiled, seed=0)
+        router = world.router
+        hop_lists = compiled.route_name_paths()
+        eager = [router._finalize(hops) for hops in hop_lists]
+        pairs = [(hops[0], hops[-1]) for hops in hop_lists]
+        # pending paths are cache members (perfbench's resolve injection
+        # relies on that) but not finalized yet
+        assert all(pair in router._path_cache for pair in pairs)
+        assert not any(isinstance(router._path_cache[p], ResolvedPath)
+                       for p in pairs)
+        for (src, dst), expected in zip(pairs, eager):
+            assert router.resolve(src, dst) == expected
+        assert all(isinstance(router._path_cache[p], ResolvedPath)
+                   for p in pairs)
+
+    def test_link_events_match_a_fresh_router(self, compiled):
+        world = materialize(compiled, seed=0)
+        hop_lists = compiled.route_name_paths()
+        stride = max(1, len(hop_lists) // 40)
+        pairs = [(hops[0], hops[-1]) for hops in hop_lists[::stride]]
+        first = hop_lists[0]
+        links = world.topology.path_links(first)
+        failed = links[len(links) // 2].name
+        before = [_outcome(world.router, *p) for p in pairs]
+
+        def fresh():
+            return Router(world.topology, world.as_graph, world.policy)
+
+        world.fail_link(failed)
+        assert world.router._path_cache == {}
+        oracle = fresh()
+        down = [_outcome(world.router, *p) for p in pairs]
+        assert down == [_outcome(oracle, *p) for p in pairs]
+        assert down != before
+
+        world.restore_link(failed)
+        oracle = fresh()
+        up = [_outcome(world.router, *p) for p in pairs]
+        assert up == [_outcome(oracle, *p) for p in pairs]
+        assert up == before
+
+    def test_preload_replaces_a_cached_pair(self, compiled):
+        world = materialize(compiled, seed=0)
+        router = world.router
+        hops = compiled.route_name_paths()[0]
+        resolved = router.resolve(hops[0], hops[-1])
+        router.preload(hops, [0, len(hops)], list(range(len(hops))))
+        assert not isinstance(router._path_cache[(hops[0], hops[-1])],
+                              ResolvedPath)
+        again = router.resolve(hops[0], hops[-1])
+        assert again == resolved and again is not resolved

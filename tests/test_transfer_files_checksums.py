@@ -40,6 +40,45 @@ class TestFileSpec:
         big = FileSpec("big", int(mb(100)), seed=3)
         assert big.content_digest() == FileSpec("x", int(mb(100)), seed=3).content_digest()
 
+    @pytest.mark.parametrize("size", [1, 4096, int(mb(10)), int(mb(100))])
+    def test_digest_is_spec_derived_at_every_size(self, size, monkeypatch):
+        from repro.transfer import files
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("digest materialized the payload")
+
+        monkeypatch.setattr(files, "generate_bytes", refuse)
+        spec = FileSpec("a", size, Entropy.TEXT, seed=5)
+        assert spec.content_digest() == FileSpec("b", size, Entropy.TEXT, seed=5).content_digest()
+        variants = {
+            spec.content_digest(),
+            FileSpec("a", size + 1, Entropy.TEXT, seed=5).content_digest(),
+            FileSpec("a", size, Entropy.RANDOM, seed=5).content_digest(),
+            FileSpec("a", size, Entropy.ZEROS, seed=5).content_digest(),
+            FileSpec("a", size, Entropy.TEXT, seed=6).content_digest(),
+        }
+        assert len(variants) == 5
+
+    def test_large_file_digest_value_is_pinned(self):
+        # recorded when digests above MAX_MATERIALIZE_BYTES were the only
+        # spec-derived ones; making every size spec-derived kept it
+        big = FileSpec("big", int(mb(100)), seed=3)
+        assert big.content_digest() == (
+            "7db0a65ba7292040ffe4caa28bd48cf1d4fa69872a4470cfc3b4c7edd1ac36bf")
+
+    def test_paper_cell_never_materializes_payloads(self, monkeypatch):
+        from repro.campaign import CampaignRunner, CampaignSpec, PoolConfig
+        from repro.transfer import files
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("payload bytes generated on the simulation path")
+
+        monkeypatch.setattr(files, "generate_bytes", refuse)
+        spec = CampaignSpec(clients=("ubc",), providers=("gdrive",),
+                            routes=("via ualberta",), sizes_mb=(40.0,))
+        result = CampaignRunner(spec, pool=PoolConfig(jobs=1)).run()
+        assert [rec.ok for rec in result.records] == [True]
+
     def test_zero_size_rejected(self):
         with pytest.raises(TransferError):
             FileSpec("empty", 0)
