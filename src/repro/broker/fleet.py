@@ -173,7 +173,13 @@ class FleetRunner:
         return Recommendation(DirectRoute(), "direct", False, 0.0)
 
     def run(self, horizon_s: float = 1e7) -> FleetResult:
-        """Execute the whole schedule; returns the ordered records."""
+        """Execute the whole schedule; returns the ordered records.
+
+        In broker mode the broker's control plane runs for the fleet only:
+        it is started here and abandoned (:meth:`Process.abandon`) when
+        the run stops, which runs no further event or process code, so
+        the world is left exactly as the last upload left it.
+        """
         world = self.world
         executor = PlanExecutor(world)
         uploads = self.schedule.uploads
@@ -210,7 +216,7 @@ class FleetRunner:
             )
 
         if self.broker is not None:
-            self.broker.start()
+            control = self.broker.start()
         procs = [world.sim.process(one(i, u), name=f"fleet:{i}")
                  for i, u in enumerate(uploads)]
 
@@ -219,6 +225,11 @@ class FleetRunner:
 
         driver = world.sim.process(drive(), name="fleet-drive")
         world.sim.run_until_triggered(driver.done, horizon=horizon_s)
+        if self.broker is not None:
+            # A parked control-plane process keeps a pending event that
+            # refers back to the simulator, which would leave the finished
+            # world reference-cycle garbage until a full collection.
+            control.abandon()
         if not driver.finished:
             done = sum(1 for r in records if r is not None)
             raise BrokerError(

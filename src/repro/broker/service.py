@@ -122,10 +122,15 @@ class DetourBroker:
         if self._process is not None:
             raise BrokerError("broker already started")
 
+        # Closes over the scheduler, not the broker: the broker holds this
+        # process, so a generator referring back to it would be a
+        # reference cycle keeping an abandoned broker and its world alive.
+        scheduler, warmup = self.scheduler, self.config.warmup
+
         def _main():
-            if self.config.warmup:
-                yield from self.scheduler.warmup()
-            yield from self.scheduler.run()
+            if warmup:
+                yield from scheduler.warmup()
+            yield from scheduler.run()
 
         self._process = self.world.sim.process(_main(), name="broker")
         return self._process

@@ -163,17 +163,19 @@ class ASGraph:
     def validate(self) -> None:
         """Reject provider-customer cycles (economic nonsense)."""
         state: Dict[int, int] = {}  # 0=visiting, 1=done
-
-        def visit(asn: int, stack: List[int]) -> None:
-            state[asn] = 0
-            for cust in self.customers(asn):
-                if state.get(cust) == 0:
-                    cycle = stack[stack.index(cust):] if cust in stack else stack
-                    raise TopologyError(f"provider-customer cycle involving AS{cust}: {cycle + [cust]}")
-                if cust not in state:
-                    visit(cust, stack + [cust])
-            state[asn] = 1
-
         for asn in self.ases:
             if asn not in state:
-                visit(asn, [asn])
+                self._visit_customers(asn, [asn], state)
+
+    def _visit_customers(self, asn: int, stack: List[int], state: Dict[int, int]) -> None:
+        # A method rather than a recursive closure: a closure that refers
+        # to itself is a reference cycle, which would keep every ASGraph
+        # alive until a full garbage collection.
+        state[asn] = 0
+        for cust in self.customers(asn):
+            if state.get(cust) == 0:
+                cycle = stack[stack.index(cust):] if cust in stack else stack
+                raise TopologyError(f"provider-customer cycle involving AS{cust}: {cycle + [cust]}")
+            if cust not in state:
+                self._visit_customers(cust, stack + [cust], state)
+        state[asn] = 1

@@ -7,6 +7,12 @@ capacity studies: it keeps per-transfer cost at "a handful of events"
 instead of per-packet, while preserving the bandwidth-sharing phenomena
 the paper measures (congested peerings, policed egresses, last-mile caps).
 
+Each transfer's link directions are interned once, at start, to dense
+``int`` ids, so an allocation runs over int-keyed specs and a capacity
+list indexed by id.  A reallocation reschedules a flow's completion
+event only when the flow's rate changed; a flow whose rate held keeps
+the completion time computed when that rate was set.
+
 TCP behaviour enters in two places:
 
 * a per-flow **rate ceiling** (the Mathis loss ceiling, computed by the
@@ -20,14 +26,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from math import inf, isfinite, ulp
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro import units
 from repro.errors import TransferError
 from repro.net.flows import FlowSpec, max_min_allocation
 from repro.net.topology import LinkDirection, Topology
 from repro.obs.metrics import DURATION_BUCKETS, RATE_BUCKETS, MetricsRegistry
-from repro.sim.kernel import Signal, Simulator
+from repro.sim.kernel import Handle, Signal, Simulator
 from repro.sim.trace import Tracer
 
 __all__ = ["NetworkEngine", "Transfer", "TransferResult"]
@@ -70,7 +76,9 @@ class Transfer:
     remaining_bytes: float = 0.0
     rate_bps: float = 0.0
     _last_update: float = 0.0
-    _completion_handle: Optional[object] = None
+    _completion_handle: Optional[Handle] = None
+    #: ``spec`` over the engine's interned link ids (what is allocated)
+    _alloc_spec: Optional[FlowSpec] = None
 
     @property
     def finished(self) -> bool:
@@ -96,7 +104,10 @@ class NetworkEngine:
         self.capacity_scale = capacity_scale or {}
         self._flows: Dict[int, Transfer] = {}
         self._ids = itertools.count(1)
-        self._capacity_cache: Dict[LinkDirection, float] = {}
+        #: dense id per link direction seen so far, and the capacity of
+        #: each id (the allocator's capacity table)
+        self._link_ids: Dict[LinkDirection, int] = {}
+        self._link_caps: List[float] = []
         metrics = metrics if metrics is not None else MetricsRegistry(enabled=False)
         self.metrics = metrics
         self._m_started = metrics.counter(
@@ -122,25 +133,33 @@ class NetworkEngine:
 
     def capacity_of(self, direction: LinkDirection) -> float:
         """Effective capacity of one link direction (policed + jittered)."""
-        cached = self._capacity_cache.get(direction)
-        if cached is not None:
-            return cached
-        link = self.topology.link(direction.link_name)
-        cap = link.effective_capacity_bps(direction.src)
-        if not link.failed:
-            cap *= self.capacity_scale.get(link.name, 1.0)
-        self._capacity_cache[direction] = cap
-        return cap
+        return self._link_caps[self._link_id(direction)]
 
     def on_link_state_change(self, link_name: str) -> None:
         """React to a link failing or recovering: re-derive capacities and
         re-share bandwidth (flows pinned to a failed link starve at the
         residual rate until cancelled or the link returns)."""
         self.topology.link(link_name)  # validate
-        for direction in list(self._capacity_cache):
+        for direction, link_id in self._link_ids.items():
             if direction.link_name == link_name:
-                del self._capacity_cache[direction]
+                self._link_caps[link_id] = self._derive_capacity(direction)
         self._reallocate()
+
+    def _link_id(self, direction: LinkDirection) -> int:
+        """Dense id of *direction*, interning it (and its capacity) on first use."""
+        link_id = self._link_ids.get(direction)
+        if link_id is None:
+            cap = self._derive_capacity(direction)
+            link_id = self._link_ids[direction] = len(self._link_caps)
+            self._link_caps.append(cap)
+        return link_id
+
+    def _derive_capacity(self, direction: LinkDirection) -> float:
+        link = self.topology.link(direction.link_name)
+        cap = link.effective_capacity_bps(direction.src)
+        if not link.failed:
+            cap *= self.capacity_scale.get(link.name, 1.0)
+        return cap
 
     # -- public API -------------------------------------------------------------
 
@@ -167,6 +186,7 @@ class NetworkEngine:
             raise TransferError("transfer needs a path or a finite rate ceiling")
         flow_id = next(self._ids)
         wire = nbytes + startup_deficit_bytes
+        link_ids = tuple(map(self._link_id, directions))
         transfer = Transfer(
             flow_id=flow_id,
             label=label or f"flow-{flow_id}",
@@ -177,6 +197,7 @@ class NetworkEngine:
             done=Signal(self.sim, name=f"transfer-{flow_id}"),
             remaining_bytes=wire,
             _last_update=self.sim.now,
+            _alloc_spec=FlowSpec(flow_id, link_ids, ceiling_bps),
         )
         self._flows[flow_id] = transfer
         self.tracer.emit(
@@ -192,10 +213,10 @@ class NetworkEngine:
         self, directions: Sequence[LinkDirection], ceiling_bps: float = inf
     ) -> float:
         """Rate a new flow would get right now (phantom allocation)."""
-        phantom = FlowSpec("__phantom__", tuple(directions), ceiling_bps)
-        specs = [t.spec for t in self._flows.values()] + [phantom]
-        alloc = self._allocate(specs)
-        return alloc["__phantom__"]
+        phantom = FlowSpec("__phantom__", tuple(map(self._link_id, directions)),
+                           ceiling_bps)
+        specs = [t._alloc_spec for t in self._flows.values()] + [phantom]
+        return max_min_allocation(specs, self._link_caps)["__phantom__"]
 
     def cancel(self, transfer: Transfer) -> None:
         """Abort an in-flight transfer; its ``done`` signal fails."""
@@ -225,14 +246,6 @@ class NetworkEngine:
 
     # -- internals -----------------------------------------------------------
 
-    def _allocate(self, specs: List[FlowSpec]) -> Dict[Hashable, float]:
-        capacities: Dict[LinkDirection, float] = {}
-        for spec in specs:
-            for r in spec.resources:
-                if r not in capacities:
-                    capacities[r] = self.capacity_of(r)
-        return max_min_allocation(specs, capacities)
-
     def _drain_all(self) -> None:
         """Credit progress to every flow up to the current instant."""
         now = self.sim.now
@@ -255,27 +268,50 @@ class NetworkEngine:
             prof.count("net.engine.flows_touched", len(self._flows))
             t0 = prof.begin()
             try:
-                self._do_reallocate()
+                rescheduled = self._do_reallocate()
             finally:
                 prof.end_section("net.engine.reallocate", t0, self.sim.now)
+            prof.count("net.engine.flows_rescheduled", rescheduled)
 
-    def _do_reallocate(self) -> None:
+    def _do_reallocate(self) -> int:
+        """Re-share bandwidth; returns how many completions it scheduled."""
         self._m_reallocs.inc()
-        alloc = self._allocate([t.spec for t in self._flows.values()])
+        transfers = self._flows.values()
+        alloc = max_min_allocation([t._alloc_spec for t in transfers], self._link_caps)
         _complete = self._complete
         sim_schedule = self.sim.schedule
-        for t in self._flows.values():
-            t.rate_bps = alloc[t.flow_id]
-            if t._completion_handle is not None:
-                t._completion_handle.cancel()
-                t._completion_handle = None
+        schedule_completion = self._schedule_completion
+        rescheduled = 0
+        for t in transfers:
+            rate = alloc[t.flow_id]
             if t.remaining_bytes <= 1e-9:
                 # Completed exactly at this instant.
+                t.rate_bps = rate
+                if t._completion_handle is not None:
+                    t._completion_handle.cancel()
+                    t._completion_handle = None
                 sim_schedule(0.0, lambda t=t: _complete(t))
-            elif t.rate_bps > 0:
-                eta = units.transfer_seconds(t.remaining_bytes, t.rate_bps)
-                t._completion_handle = sim_schedule(eta, lambda t=t: _complete(t))
-            # rate == 0: flow is starved; it stays until a reallocation frees capacity
+                rescheduled += 1
+            elif rate != t.rate_bps or t._completion_handle is None:
+                # An unchanged rate keeps its live completion event: its
+                # time equals a recomputed now + remaining/rate up to the
+                # rounding of the drains in between.
+                t.rate_bps = rate
+                rescheduled += schedule_completion(t)
+        return rescheduled
+
+    def _schedule_completion(self, t: Transfer) -> bool:
+        """(Re)schedule *t*'s completion at its current rate; returns False
+        for a starved flow (rate 0), which gets no event and stays until a
+        reallocation frees capacity."""
+        if t._completion_handle is not None:
+            t._completion_handle.cancel()
+            t._completion_handle = None
+        if t.rate_bps <= 0:
+            return False
+        eta = units.transfer_seconds(t.remaining_bytes, t.rate_bps)
+        t._completion_handle = self.sim.schedule(eta, lambda: self._complete(t))
+        return True
 
     def _complete(self, transfer: Transfer) -> None:
         if transfer.finished or transfer.flow_id not in self._flows:
@@ -285,12 +321,14 @@ class NetworkEngine:
         # Gbit/s rates a flow's own completion event can arrive with a few
         # time-ulps' worth of bytes still on the books (eps(now) * rate/8 —
         # ~1e-4 B at t=4e3 s and 10 Gbit/s, above any fixed byte epsilon).
-        # Anything beyond that drift is a genuinely stale event (rate
-        # changed after scheduling; the reallocation that changed it
-        # scheduled a fresh handle) and must not complete the flow early.
+        # Anything beyond that drift must not complete the flow early.
+        # Cancelled events never fire, so this is the flow's live event,
+        # and a flow whose rate holds is never rescheduled by a
+        # reallocation: schedule the rest now, or the flow would wedge.
         drift = (units.bytes_per_sec(transfer.rate_bps)
                  * _DRIFT_ULPS * ulp(max(self.sim.now, 1.0)))
         if transfer.remaining_bytes > max(1e-6, drift):
+            self._schedule_completion(transfer)
             return
         self._remove(transfer)
         result = TransferResult(

@@ -6,6 +6,16 @@ ceiling (the TCP loss ceiling, or an application pacing limit).  The
 allocator water-fills: all unfrozen flows grow at the same rate; a flow
 freezes when a link it crosses saturates or it hits its ceiling.
 
+Each round costs O(resources still in use + flows frozen that round): a
+per-resource count of unfrozen users is decremented as flows freeze
+(instead of re-summing every resource's user set), and because every
+unfrozen flow holds the same water level, the tightest ceiling is the
+lowest unfrozen ceiling.  The rounds do the float operations of plain
+water-filling in the same order, so rates are bit-identical to it
+(``tests/flows_oracle.py`` keeps that reference as a differential
+oracle).  Resources are any hashable keys; the network engine passes
+dense ``int`` link ids with a list of capacities indexed by id.
+
 Invariants (property-tested):
 
 * no link's capacity is exceeded,
@@ -16,9 +26,9 @@ Invariants (property-tested):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import inf
-from typing import Dict, Hashable, Iterable, List, Mapping, Tuple
+from typing import Dict, Hashable, Iterable, List, Mapping, Sequence, Tuple, Union
 
 __all__ = ["FlowSpec", "max_min_allocation"]
 
@@ -42,7 +52,7 @@ class FlowSpec:
 
 def max_min_allocation(
     flows: Iterable[FlowSpec],
-    capacities_bps: Mapping[ResourceId, float],
+    capacities_bps: Union[Mapping[ResourceId, float], Sequence[float]],
     epsilon: float = 1e-9,
 ) -> Dict[Hashable, float]:
     """Water-filling max-min fair rates for *flows* over shared resources.
@@ -53,7 +63,8 @@ def max_min_allocation(
         The competing flows.  A flow referencing a resource missing from
         *capacities_bps* raises ``KeyError`` (construction bug upstream).
     capacities_bps:
-        Capacity of each resource (bits/second).
+        Capacity of each resource (bits/second): a mapping, or a sequence
+        indexed by ``int`` resource ids.
     epsilon:
         Numerical slack when deciding saturation.
 
@@ -63,63 +74,100 @@ def max_min_allocation(
         ``{flow_id: allocated rate}``.
     """
     flow_list = list(flows)
+    n = len(flow_list)
     ids = [f.flow_id for f in flow_list]
-    if len(set(ids)) != len(ids):
+    if len(set(ids)) != n:
         raise ValueError("duplicate flow ids in allocation request")
 
-    alloc: Dict[Hashable, float] = {f.flow_id: 0.0 for f in flow_list}
-    headroom: Dict[ResourceId, float] = {}
-    users: Dict[ResourceId, set] = {}
-    for f in flow_list:
+    room: Dict[ResourceId, float] = {}
+    users: Dict[ResourceId, List[int]] = {}
+    #: per flow, the resources whose user count it holds (each once)
+    held = [f.resources for f in flow_list]
+    for i, f in enumerate(flow_list):
         for r in f.resources:
-            cap = capacities_bps[r]
-            if cap <= 0:
-                raise ValueError(f"resource {r!r} has non-positive capacity")
-            headroom.setdefault(r, float(cap))
-            users.setdefault(r, set()).add(f.flow_id)
+            on_r = users.get(r)
+            if on_r is None:
+                cap = capacities_bps[r]
+                if cap <= 0:
+                    raise ValueError(f"resource {r!r} has non-positive capacity")
+                room[r] = float(cap)
+                users[r] = [i]
+            elif on_r[-1] != i:
+                on_r.append(i)
+            else:
+                # listed twice in this flow: it still counts as one user
+                held[i] = tuple(dict.fromkeys(f.resources))
+    count = {r: len(on_r) for r, on_r in users.items()}
+    active = list(room)  # resources with unfrozen users, first-use order
 
-    unfrozen = {f.flow_id: f for f in flow_list}
+    ceilings = [f.ceiling_bps for f in flow_list]
+    by_ceiling = sorted(range(n), key=ceilings.__getitem__)
+    lowest = 0  # position in by_ceiling of the lowest unfrozen ceiling
+    alloc = [0.0] * n
+    frozen = [False] * n
+    newly: List[int] = []
+    # Every unfrozen flow sits at the same water level, grown by the same
+    # deltas; a flow's rate is the level at which it froze.
+    level = 0.0
+    left = n
 
     # Each iteration freezes at least one flow, so it terminates.
-    headroom_items = headroom.items
-    unfrozen_items = unfrozen.items
-    while unfrozen:
+    while left:
+        while frozen[by_ceiling[lowest]]:
+            lowest += 1
         # Largest uniform increment all unfrozen flows can take.
         delta = inf
-        for r, room in headroom_items():
-            active = sum(1 for fid in users[r] if fid in unfrozen)
-            if active:
-                delta = min(delta, room / active)
-        for fid, f in unfrozen_items():
-            delta = min(delta, f.ceiling_bps - alloc[fid])
+        for r in active:
+            share = room[r] / count[r]
+            if share < delta:
+                delta = share
+        to_ceiling = ceilings[by_ceiling[lowest]] - level
+        if to_ceiling < delta:
+            delta = to_ceiling
         if delta is inf:
             raise ValueError("unbounded allocation: flow with no resources and no ceiling")
-        delta = max(delta, 0.0)
+        if delta < 0.0:
+            delta = 0.0
+        level += delta
 
-        for fid in unfrozen:
-            alloc[fid] += delta
-        for r in headroom:
-            active = sum(1 for fid in users[r] if fid in unfrozen)
-            headroom[r] -= delta * active
-
-        # Freeze ceiling-bound flows and flows on saturated resources.
-        saturated = {r for r, room in headroom_items() if room <= epsilon}
-        to_freeze = [
-            fid
-            for fid, f in unfrozen_items()
-            if alloc[fid] >= f.ceiling_bps - epsilon or any(r in saturated for r in f.resources)
-        ]
-        if not to_freeze:
+        # Freeze flows on saturated resources and ceiling-bound flows.
+        for r in active:
+            left_r = room[r] - delta * count[r]
+            room[r] = left_r
+            if left_r <= epsilon:
+                for i in users[r]:
+                    if not frozen[i]:
+                        frozen[i] = True
+                        newly.append(i)
+        for pos in range(lowest, n):
+            i = by_ceiling[pos]
+            if frozen[i]:
+                continue
+            if level < ceilings[i] - epsilon:
+                break
+            frozen[i] = True
+            newly.append(i)
+        if not newly:
             # Numerical corner: freeze the flow closest to its limit.
-            fid = min(
-                unfrozen,
-                key=lambda fid: min(
-                    [unfrozen[fid].ceiling_bps - alloc[fid]]
-                    + [headroom[r] for r in unfrozen[fid].resources]
+            i = min(
+                (i for i in range(n) if not frozen[i]),
+                key=lambda i: min(
+                    [ceilings[i] - level] + [room[r] for r in flow_list[i].resources]
                 ),
             )
-            to_freeze = [fid]
-        for fid in to_freeze:
-            del unfrozen[fid]
+            frozen[i] = True
+            newly.append(i)
 
-    return alloc
+        emptied = False
+        for i in newly:
+            alloc[i] = level
+            for r in held[i]:
+                count[r] -= 1
+                if not count[r]:
+                    emptied = True
+        left -= len(newly)
+        newly.clear()
+        if emptied:
+            active = [r for r in active if count[r]]
+
+    return dict(zip(ids, alloc))

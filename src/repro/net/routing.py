@@ -15,7 +15,7 @@ loss, and the bottleneck capacity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.errors import RoutingError, TopologyError
 from repro.net.asn import ASGraph
@@ -23,7 +23,7 @@ from repro.net.bgp import BgpRouteComputer
 from repro.net.policy import PolicyTable
 from repro.net.topology import Link, LinkDirection, Node, Topology
 
-__all__ = ["ResolvedPath", "Router"]
+__all__ = ["ResolvedPath", "Router", "preloaded_hops"]
 
 _MAX_HOPS = 64
 
@@ -52,7 +52,10 @@ class ResolvedPath:
 
 
 class _PreloadedHops:
-    """A preloaded hop list, finalized on first use (see :meth:`Router.preload`)."""
+    """A preloaded hop list, finalized on first use (see :meth:`Router.preload_pending`).
+
+    Immutable, so one instance can sit in many routers' caches.
+    """
 
     __slots__ = ("names", "flat", "start", "end")
 
@@ -66,6 +69,23 @@ class _PreloadedHops:
     def hops(self) -> List[str]:
         names = self.names
         return [names[j] for j in self.flat[self.start:self.end]]
+
+
+def preloaded_hops(names: Sequence[str], indptr: Sequence[int],
+                   flat: Sequence[int]) -> Dict[Tuple[str, str], _PreloadedHops]:
+    """(src, dst) -> pending hop list for precompiled paths in CSR form.
+
+    Path *i* is ``[names[j] for j in flat[indptr[i]:indptr[i + 1]]]``,
+    the full hop list of one forwarding path (as
+    :class:`ResolvedPath.nodes` would report it); a later path for the
+    same pair replaces an earlier one.
+    """
+    out: Dict[Tuple[str, str], _PreloadedHops] = {}
+    for i in range(len(indptr) - 1):
+        start, end = indptr[i], indptr[i + 1]
+        out[(names[flat[start]], names[flat[end - 1]])] = _PreloadedHops(
+            names, flat, start, end)
+    return out
 
 
 class Router:
@@ -115,31 +135,24 @@ class Router:
         self._igp_cost_cache.clear()
         self.bgp.invalidate()
 
-    def preload(self, names: Sequence[str], indptr: Sequence[int],
-                flat: Sequence[int]) -> int:
-        """Seed the path cache from precompiled hop lists (CSR form).
+    def preload_pending(self, pending: Mapping[Tuple[str, str], _PreloadedHops]) -> int:
+        """Seed the path cache from a :func:`preloaded_hops` map.
 
-        Path *i* is ``[names[j] for j in flat[indptr[i]:indptr[i + 1]]]``,
-        the full hop list of one forwarding path (as
-        :class:`ResolvedPath.nodes` would report it).  Only the hop list
-        is recorded here; the derived attributes — RTT, loss,
-        bottleneck, AS sequence, firewall caps — are computed from the
-        live topology on the first :meth:`resolve` of the pair, so a
+        Only hop lists are recorded here; the derived attributes — RTT,
+        loss, bottleneck, AS sequence, firewall caps — are computed from
+        the live topology on the first :meth:`resolve` of the pair, so a
         preloaded path is bit-identical to what :meth:`resolve` would
         return for the same hops, and a world pays only for the paths
         it uses.  A malformed hop list raises there, not here.  A
         preload replaces any cached path for the same pair;
         :meth:`invalidate` drops pending paths like finalized ones.
         Used by ``repro.topo`` to warm compiled worlds so the first
-        transfer doesn't pay BGP resolution.  Returns the number of
-        paths recorded.
+        transfer doesn't pay BGP resolution.  The map is copied
+        (shallowly), not adopted, so many routers can start from one
+        shared map.  Returns the number of pairs.
         """
-        n = len(indptr) - 1
-        for i in range(n):
-            start, end = indptr[i], indptr[i + 1]
-            key = (names[flat[start]], names[flat[end - 1]])
-            self._path_cache[key] = _PreloadedHops(names, flat, start, end)
-        return n
+        self._path_cache.update(pending)
+        return len(pending)
 
     def path_directions(self, path: ResolvedPath) -> List[LinkDirection]:
         """Directed link resources traversed by *path*."""

@@ -1,8 +1,8 @@
 """Generator-based discrete-event simulation kernel.
 
-The kernel is deliberately small: an event heap keyed on (time, priority,
-sequence), a virtual clock, and coroutine processes.  A process is a Python
-generator that ``yield``s *waitables*:
+The kernel is deliberately small: an event heap of ``(time, priority,
+sequence, handle)`` tuples, a virtual clock, and coroutine processes.  A
+process is a Python generator that ``yield``s *waitables*:
 
 * a non-negative ``float``/``int`` — sleep for that many simulated seconds;
 * a :class:`Signal` — park until someone calls :meth:`Signal.trigger`;
@@ -55,40 +55,29 @@ class Interrupt(Exception):
         self.cause = cause
 
 
-class _Scheduled:
-    """Internal heap entry; compares on (time, priority, seq)."""
-
-    __slots__ = ("time", "priority", "seq", "fn", "cancelled")
-
-    def __init__(self, time: float, priority: int, seq: int, fn: Callable[[], None]):
-        self.time = time
-        self.priority = priority
-        self.seq = seq
-        self.fn = fn
-        self.cancelled = False
-
-    def __lt__(self, other: "_Scheduled") -> bool:
-        return (self.time, self.priority, self.seq) < (other.time, other.priority, other.seq)
-
-
 class Handle:
-    """Cancellable handle for a scheduled callback."""
+    """Cancellable handle for a scheduled callback.
 
-    __slots__ = ("_entry",)
+    The heap holds ``(time, priority, seq, handle)`` tuples, so heap
+    comparisons run on plain tuples in C (``seq`` is unique, so the
+    handle itself is never compared).  Cancelling drops the callback,
+    which frees its closure at once and marks the heap entry stale.
+    """
 
-    def __init__(self, entry: _Scheduled):
-        self._entry = entry
+    __slots__ = ("time", "fn")
 
-    @property
-    def time(self) -> float:
-        return self._entry.time
+    def __init__(self, time: float, fn: Callable[[], None]):
+        #: absolute simulated time the callback is (or was) due
+        self.time = time
+        self.fn: Optional[Callable[[], None]] = fn
 
     @property
     def active(self) -> bool:
-        return not self._entry.cancelled
+        """False once cancelled; firing does not clear it."""
+        return self.fn is not None
 
     def cancel(self) -> None:
-        self._entry.cancelled = True
+        self.fn = None
 
 
 class Simulator:
@@ -107,7 +96,7 @@ class Simulator:
 
     def __init__(self, start: float = 0.0, profiler: Optional[Any] = None):
         self._now = float(start)
-        self._heap: list[_Scheduled] = []
+        self._heap: list[tuple[float, int, int, Handle]] = []
         self._seq = itertools.count()
         self._running = False
         self._active_processes = 0
@@ -129,9 +118,10 @@ class Simulator:
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule {delay}s in the past (now={self._now})")
-        entry = _Scheduled(self._now + delay, priority, next(self._seq), fn)
-        heapq.heappush(self._heap, entry)
-        return Handle(entry)
+        time = self._now + delay
+        handle = Handle(time, fn)
+        heapq.heappush(self._heap, (time, priority, next(self._seq), handle))
+        return handle
 
     def schedule_at(self, time: float, fn: Callable[[], None], priority: int = 0) -> Handle:
         """Run ``fn()`` at absolute simulated *time*."""
@@ -147,21 +137,23 @@ class Simulator:
 
     def step(self) -> bool:
         """Execute the next event.  Returns False if the heap is empty."""
-        while self._heap:
-            entry = heapq.heappop(self._heap)
-            if entry.cancelled:
+        heap = self._heap
+        while heap:
+            time, _priority, _seq, handle = heapq.heappop(heap)
+            fn = handle.fn
+            if fn is None:
                 continue
-            if entry.time < self._now - 1e-12:
+            if time < self._now - 1e-12:
                 raise SimulationError("event heap corrupted: time went backwards")
-            self._now = max(self._now, entry.time)
+            self._now = max(self._now, time)
             prof = self.profiler
             if prof is None:
-                entry.fn()
+                fn()
             else:
                 # Event-type hook: the profiler attributes wall time to the
                 # callback's definition site and correlates it with the
                 # simulated instant the event fired at.
-                prof.run_callback(entry.fn, self._now)
+                prof.run_callback(fn, self._now)
             return True
         return False
 
@@ -177,9 +169,9 @@ class Simulator:
             for _ in range(max_events):
                 if until is not None:
                     # Peek: stop before executing events beyond the horizon.
-                    while self._heap and self._heap[0].cancelled:
+                    while self._heap and self._heap[0][3].fn is None:
                         heapq.heappop(self._heap)
-                    if not self._heap or self._heap[0].time > until:
+                    if not self._heap or self._heap[0][0] > until:
                         self._now = max(self._now, until)
                         return
                 if not self.step():
@@ -190,9 +182,9 @@ class Simulator:
 
     def peek(self) -> Optional[float]:
         """Time of the next pending event, or None."""
-        while self._heap and self._heap[0].cancelled:
+        while self._heap and self._heap[0][3].fn is None:
             heapq.heappop(self._heap)
-        return self._heap[0].time if self._heap else None
+        return self._heap[0][0] if self._heap else None
 
     def run_until_triggered(
         self,
@@ -382,11 +374,15 @@ class AllOf(_Waitable):
                     failed = True
                     for d in detachers:
                         d()
+                    # resolved: drop the detachers, whose closures refer
+                    # back to these callbacks (a cycle only a full GC frees)
+                    detachers.clear()
                     callback(None, exc)
                     return
                 results[i] = value
                 remaining -= 1
                 if remaining == 0:
+                    detachers.clear()
                     callback(list(results), None)
 
             return cb
@@ -422,6 +418,7 @@ class AnyOf(_Waitable):
                 for j, d in enumerate(detachers):
                     if j != i:
                         d()
+                detachers.clear()  # as in AllOf: break the callback cycle
                 if exc is not None:
                     callback(None, exc)
                 else:
@@ -512,6 +509,20 @@ class Process:
             self._detach_current = None
         self.sim.schedule(0.0, self._deliver_interrupt)
 
+    def abandon(self) -> None:
+        """Stop the process where it stands, running nothing.
+
+        Its current wait is detached, so no event will resume it, and
+        its generator stays suspended: unlike :meth:`interrupt`, neither
+        process code nor a simulator event runs, so the world is left
+        exactly as it was.  The process never finishes; its ``finally``
+        blocks run only when the generator is garbage collected.
+        """
+        if self._detach_current is not None:
+            self._detach_current()
+            self._detach_current = None
+        self._interrupted = None
+
     # -- machinery ------------------------------------------------------------
 
     def _deliver_interrupt(self) -> None:
@@ -538,8 +549,13 @@ class Process:
         except StopIteration as stop:
             self.done.trigger(stop.value)
             return
-        except Interrupt:
+        except Interrupt as exc:
             # Process chose not to handle its interrupt: treat as cancelled.
+            # The interrupt is discarded here, so drop its traceback: the
+            # frames in it refer back to the interrupt (the closure that
+            # threw it), a cycle holding the process's world until a full
+            # garbage collection.
+            exc.__traceback__ = None
             self.done.trigger(None)
             return
         except Exception as exc:  # noqa: BLE001 - propagate to joiners

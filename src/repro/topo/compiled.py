@@ -19,11 +19,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import TopoError
+from repro.net.routing import preloaded_hops
 from repro.topo.spec import (
     AsRec,
     LinkRec,
@@ -109,6 +110,10 @@ class CompiledTopology:
             raise TopoError(f"compiled topology missing arrays: {missing}")
         self.arrays = arrays
         self.meta = meta
+        # Read-only after compilation, so shared by every world
+        # materialized from it (see to_graph and pending_routes).
+        self._graph: Optional[TopoGraph] = None
+        self._pending: Optional[Dict[Tuple[str, str], object]] = None
 
     def __getitem__(self, key: str) -> np.ndarray:
         return self.arrays[key]
@@ -197,13 +202,28 @@ class CompiledTopology:
 
     def attach_routes(self, node_paths: Sequence[Sequence[int]]) -> None:
         """Install precompiled forwarding paths (node indices)."""
-        indptr, flat = _indptr_flat(node_paths)
+        self.install_routes(*_indptr_flat(node_paths))
+
+    def install_routes(self, indptr: np.ndarray, flat: np.ndarray) -> None:
+        """Install precompiled paths already in CSR form (a route-cache hit)."""
         self.arrays["route_indptr"] = indptr
         self.arrays["route_node"] = flat
-        self.meta["routes"] = len(node_paths)
+        self.meta["routes"] = int(indptr.shape[0]) - 1
+        self._pending = None
+
+    def pending_routes(self) -> Dict[Tuple[str, str], object]:
+        """The (src, dst) -> pending hop list map a world's router starts
+        from (:meth:`Router.preload_pending`), built once and shared: each
+        router copies the map and finalizes its own entries."""
+        if self._pending is None:
+            self._pending = preloaded_hops(
+                [str(s) for s in self.arrays["node_name"]],
+                self.arrays["route_indptr"].tolist(),
+                self.arrays["route_node"].tolist())
+        return self._pending
 
     def route_name_paths(self) -> List[List[str]]:
-        """Precompiled paths as node-name lists (what Router.preload records)."""
+        """Precompiled paths as node-name lists (what Router.preload_pending records)."""
         names = self.arrays["node_name"]
         indptr = self.arrays["route_indptr"]
         flat = self.arrays["route_node"]
@@ -215,7 +235,16 @@ class CompiledTopology:
     # -- back to records ------------------------------------------------------
 
     def to_graph(self) -> TopoGraph:
-        """Reconstruct the record form (lossless inverse of compile)."""
+        """Reconstruct the record form (lossless inverse of compile).
+
+        Memoized: the records are immutable, so every world materialized
+        from this topology shares one copy.
+        """
+        if self._graph is None:
+            self._graph = self._build_graph()
+        return self._graph
+
+    def _build_graph(self) -> TopoGraph:
         a = self.arrays
         site_names = [str(s) for s in a["site_name"]]
         node_names = [str(s) for s in a["node_name"]]

@@ -208,10 +208,7 @@ def compile_spec(spec: TopoSpec,
         cached = cache.load(key) if cache is not None else None
         if cached is not None:
             with obs.phase("routes_cached"):
-                indptr, flat = cached
-                compiled.arrays["route_indptr"] = indptr
-                compiled.arrays["route_node"] = flat
-                compiled.meta["routes"] = int(indptr.shape[0]) - 1
+                compiled.install_routes(*cached)
         else:
             with obs.phase("routes"):
                 compiled.attach_routes(_compute_routes(graph, compiled))
@@ -260,14 +257,15 @@ def materialize(compiled: CompiledTopology,
 
         topo, as_graph, policy = build_skeleton(graph)
         router = Router(topo, as_graph, policy)
-        router.preload([n.name for n in graph.nodes],
-                       compiled.arrays["route_indptr"].tolist(),
-                       compiled.arrays["route_node"].tolist())
+        router.preload_pending(compiled.pending_routes())
         dns = DnsResolver(topo)
 
+        # One-shot draws from a scratch registry (same derived streams), so
+        # the world's registry keeps no numpy generator per link.
+        jitter = RngRegistry(seed)
         capacity_scale: Dict[str, float] = {}
         for link in graph.links:
-            capacity_scale[link.name] = rng.lognormal_factor(
+            capacity_scale[link.name] = jitter.lognormal_factor(
                 f"capjitter.{link.name}", link.jitter_sigma)
 
         engine = NetworkEngine(sim, topo, tracer=tracer,

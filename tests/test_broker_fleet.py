@@ -225,3 +225,75 @@ class TestRollups:
             assert nbytes.value(site=site) \
                 == sum(r.size_bytes for r in site_records)
         assert source.value(source="direct") == len(result.records)
+
+
+class TestAbandonedControlPlane:
+    """``FleetRunner.run`` abandons the broker's process when the run stops.
+
+    Oracle: the same run with ``Process.abandon`` patched to do nothing,
+    which leaves the control plane parked in the world as it was before
+    the runner stopped it.  Everything a caller reads after ``run()``
+    must be the same either way — also when a probe is still in flight
+    at the end (seed 1's ``purdue`` site with these settings).
+    """
+
+    CELL = dict(sites=("ubc", "purdue"), provider="gdrive", mode="broker",
+                n_uploads_per_site=6, mean_interarrival_s=10.0,
+                mean_size_mb=2.0, cross_traffic=False, seed=1)
+
+    @staticmethod
+    def _spy_live_events(monkeypatch, parked):
+        """Patch ``Process.abandon``; returns the live events left after each call."""
+        from repro.sim.kernel import Process
+
+        real = Process.abandon
+        left = []
+
+        def spy(self):
+            if not parked:
+                real(self)
+            left.append(sum(1 for *_, handle in self.sim._heap
+                            if handle.active))
+
+        monkeypatch.setattr(Process, "abandon", spy)
+        return left
+
+    def _shard_site_outputs(self, monkeypatch, parked):
+        from repro.shard.plan import ShardCell
+
+        left = self._spy_live_events(monkeypatch, parked)
+        cell = ShardCell(**self.CELL)
+        out = []
+        for site in cell.sites:
+            result, report, site_metrics = cell._run_site(site, None)
+            out.append((result, report.to_dict(), site_metrics.collect()))
+        return out, left
+
+    def test_shard_reports_and_metrics_match_a_parked_control_plane(
+            self, monkeypatch):
+        abandoned, left = self._shard_site_outputs(monkeypatch, parked=False)
+        # purdue's run ends mid-probe: its flow's completion is still due
+        assert left[0] == 0 and left[1] > 0
+        parked, parked_left = self._shard_site_outputs(monkeypatch,
+                                                       parked=True)
+        assert all(n > 0 for n in parked_left)
+        assert abandoned == parked
+
+    def test_trace_and_clock_match_a_parked_control_plane(self, monkeypatch):
+        def run(parked):
+            left = self._spy_live_events(monkeypatch, parked)
+            world = build_case_study(seed=1, trace=True, cross_traffic=False)
+            sched = fleet_population_schedule(SITES, "gdrive", 6, 10.0, 2.0,
+                                              seed=1)
+            broker = DetourBroker(world, pairs=[(s, "gdrive") for s in SITES])
+            result = FleetRunner(world, sched, mode="broker",
+                                 broker=broker).run()
+            return (result, world.sim.now, len(world.engine._flows),
+                    [str(ev) for ev in world.tracer.events],
+                    broker._process.finished, left)
+
+        abandoned, parked = run(False), run(True)
+        assert abandoned[:5] == parked[:5]
+        assert abandoned[3]  # the trace is not empty
+        assert not abandoned[4]  # abandoned, never finished
+        assert abandoned[5] == [1]  # a probe's completion is still due

@@ -4,8 +4,9 @@ Beyond cleanliness this gate pins the analysis-layer contracts:
 
 * byte-determinism — two runs produce byte-identical JSON reports;
 * the incremental cache is an accelerator (warm >= 3x faster than cold,
-  both within wall-clock budget), recorded to
-  ``benchmarks/results/BENCH_lint.json``;
+  both within wall-clock budget); the test asserts these budgets but
+  writes no ledger, so a test run leaves tracked files (such as
+  ``benchmarks/results/BENCH_lint.json``) untouched;
 * the linter passes its own rules when ``lint`` is treated as model
   code (no hash-ordered traversal inside the analyzer);
 * SARIF output and the 0/1/2 exit-code contract.
@@ -27,7 +28,6 @@ pytestmark = pytest.mark.lint
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 BASELINE_PATH = REPO_ROOT / BASELINE_FILENAME
-BENCH_PATH = REPO_ROOT / "benchmarks" / "results" / "BENCH_lint.json"
 
 #: Wall-clock budgets for one whole-program pass over src/repro.
 COLD_BUDGET_S = 10.0
@@ -96,14 +96,7 @@ def test_graph_run_byte_deterministic_and_warm_speedup(tmp_path):
         f"warm run only {speedup:.2f}x faster than cold "
         f"({cold_s:.3f}s -> {warm_s:.3f}s)")
 
-    payload = json.loads(out_cold)
-    BENCH_PATH.parent.mkdir(parents=True, exist_ok=True)
-    BENCH_PATH.write_text(json.dumps({
-        "files": payload["files_scanned"],
-        "cold_s": round(cold_s, 3),
-        "warm_s": round(warm_s, 3),
-        "speedup": round(speedup, 2),
-    }, indent=1) + "\n", encoding="utf-8")
+    assert json.loads(out_cold)["files_scanned"] > 0
 
 
 def test_two_fresh_runs_identical_finding_order():

@@ -21,7 +21,7 @@ import pytest
 
 from repro.errors import RoutingError, TopoError, TopologyError
 from repro.net import Node, NodeKind, Topology
-from repro.net.routing import ResolvedPath, Router
+from repro.net.routing import ResolvedPath, Router, preloaded_hops
 from repro.testbed import build_geo_registry, case_study_topo_spec
 from repro.topo import (
     CompiledTopology,
@@ -251,7 +251,7 @@ def _outcome(router, src, dst):
 
 
 class TestLazyPreload:
-    """``Router.preload`` defers finalizing to first use.
+    """``Router.preload_pending`` defers finalizing to first use.
 
     Oracle: the eager ``Router._finalize`` of each compiled hop list,
     computed when the world is materialized — what preload used to
@@ -312,7 +312,8 @@ class TestLazyPreload:
         router = world.router
         hops = compiled.route_name_paths()[0]
         resolved = router.resolve(hops[0], hops[-1])
-        router.preload(hops, [0, len(hops)], list(range(len(hops))))
+        router.preload_pending(
+            preloaded_hops(hops, [0, len(hops)], list(range(len(hops)))))
         assert not isinstance(router._path_cache[(hops[0], hops[-1])],
                               ResolvedPath)
         again = router.resolve(hops[0], hops[-1])
